@@ -28,6 +28,10 @@ class StorageError(ReproError):
     """A problem in the simulated disk storage layer."""
 
 
+class IndexKeyError(StorageError):
+    """A key is absent from a B+-tree index (a miss, not a corrupt tree)."""
+
+
 class PackFormatError(StorageError):
     """A dataset pack file is structurally invalid (bad magic, wrong
     endianness, truncation, undecodable slot or catalog)."""

@@ -12,7 +12,7 @@ import bisect
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from repro.errors import StorageError
+from repro.errors import IndexKeyError, PackFormatError, StorageError
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pages import PageKind, RecordSizes
@@ -166,27 +166,38 @@ class StaticBPlusTree:
         ``read`` supplies each page — the buffered (counted) reader for live
         lookups, :meth:`SimulatedDisk.peek` for plan extraction — so both
         callers share one descent and can never diverge.  Raises
-        :class:`StorageError` when the key is absent.
+        :class:`IndexKeyError` when the key is absent.
         """
         if self._root_page_id is None:
-            raise StorageError(f"key {key} not found in empty index")
+            raise IndexKeyError(f"key {key} not found in empty index")
         path: list[int] = []
         page_id = self._root_page_id
-        while True:
+        # A stored tree may be corrupt: every page must be one of this tree's
+        # and a leaf must come within ``height`` levels, or the descent fails
+        # typed (PackFormatError) instead of crashing or cycling.
+        for _level in range(self._height):
             path.append(page_id)
-            record = read(page_id).records[0]
+            page = read(page_id)
+            if page.kind is not self._kind or not page.records:
+                raise PackFormatError(f"page {page_id} is not a page of the {self._kind.value} tree")
+            record = page.records[0]
             if isinstance(record, _LeafRecord):
                 position = bisect.bisect_left(record.keys, key)
                 if position < len(record.keys) and record.keys[position] == key:
                     return path, record.values[position]
-                raise StorageError(f"key {key} not found in index")
-            child_index = bisect.bisect_right(record.separators, key)
-            page_id = record.children[child_index]
+                raise IndexKeyError(f"key {key} not found in index")
+            if isinstance(record, _InternalRecord):
+                child_index = bisect.bisect_right(record.separators, key)
+                if child_index < len(record.children):
+                    page_id = record.children[child_index]
+                    continue
+            raise PackFormatError(f"page {page_id} holds no child for key {key}")
+        raise PackFormatError(f"descent for key {key} passes the tree height {self._height}")
 
     def lookup(self, key: int, buffer: LRUBufferPool) -> object:
         """Return the value stored under ``key``; every page visited is a buffered read.
 
-        Raises :class:`StorageError` when the key is absent.
+        Raises :class:`IndexKeyError` when the key is absent.
         """
         return self._traverse(key, buffer.read)[1]
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import GraphError, PackFormatError, StorageError
+from repro.errors import GraphError, IndexKeyError, PackFormatError, StorageError
 from repro.network.accessor import AccessStatistics, AdjacencyRecord, FacilityRecord
 from repro.network.costs import CostVector
 from repro.network.graph import Edge, EdgeId, Node, NodeId
 from repro.storage.btree import StaticBPlusTree
 from repro.storage.buffer import LRUBufferPool
-from repro.storage.layout import StoredAdjacencyEntry
 from repro.storage.pages import PageKind
 from repro.storage.persist import FileDisk, PackWriter
 from repro.storage.scheme import StorageSnapshotView
@@ -157,18 +156,19 @@ class DatasetCatalog:
         }
 
 
-def _bisect_section(mm, base: int, count: int, key: int) -> int:
-    """Index of ``key`` in a sorted i64 array at ``base`` (or -1)."""
+def _bisect_section(mm, base: int, count: int, key: int, stride: int = _I64.size) -> int:
+    """Index of ``key`` among ``count`` sorted rows of ``stride`` bytes at
+    ``base``, each led by its i64 key (or -1)."""
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        (value,) = _I64.unpack_from(mm, base + mid * _I64.size)
+        (value,) = _I64.unpack_from(mm, base + mid * stride)
         if value < key:
             lo = mid + 1
         else:
             hi = mid
     if lo < count:
-        (value,) = _I64.unpack_from(mm, base + lo * _I64.size)
+        (value,) = _I64.unpack_from(mm, base + lo * stride)
         if value == key:
             return lo
     return -1
@@ -212,20 +212,9 @@ class PackedGraphView:
         return self._num_edges
 
     def _edge_index(self, edge_id: EdgeId) -> int:
-        mm = self._disk.buffer
-        lo, hi = 0, self._num_edges
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (value,) = _I64.unpack_from(mm, self._edge_base + mid * self._edge_stride)
-            if value < edge_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < self._num_edges:
-            (value,) = _I64.unpack_from(mm, self._edge_base + lo * self._edge_stride)
-            if value == edge_id:
-                return lo
-        return -1
+        return _bisect_section(
+            self._disk.buffer, self._edge_base, self._num_edges, edge_id, self._edge_stride
+        )
 
     def has_node(self, node_id: NodeId) -> bool:
         return _bisect_section(self._disk.buffer, self._node_base, self._num_nodes, node_id) >= 0
@@ -431,29 +420,28 @@ class PackedNetworkStorage:
     def _read_adjacency(self, node_id: NodeId, buffer: LRUBufferPool) -> list[AdjacencyRecord]:
         try:
             pages = self._adjacency_tree.lookup(node_id, buffer)
-        except StorageError:
+        except IndexKeyError:
             raise StorageError(f"node {node_id} not present in the adjacency tree") from None
         records: list[AdjacencyRecord] = []
         for page_id in pages:  # type: ignore[union-attr]
             page = buffer.read(page_id)
-            for stored in page.records:
-                if isinstance(stored, StoredAdjacencyEntry) and stored.node == node_id:
-                    records.append(stored.record)
+            # Only the node's own records are decoded off the page.
+            if page.kind is PageKind.ADJACENCY:
+                records.extend(page.records.entries_of(node_id))
         return records
 
     def _read_edge_facilities(self, edge_id: EdgeId, buffer: LRUBufferPool) -> list[FacilityRecord]:
         records: list[FacilityRecord] = []
         for page_id in self._facility_pages_of(edge_id):
             page = buffer.read(page_id)
-            for stored in page.records:
-                if isinstance(stored, FacilityRecord) and stored.edge_id == edge_id:
-                    records.append(stored)
+            if page.kind is PageKind.FACILITY:
+                records.extend(stored for stored in page.records if stored.edge_id == edge_id)
         return records
 
     def _read_facility_edge(self, facility_id: int, buffer: LRUBufferPool) -> EdgeId:
         try:
             edge_id, _pages = self._facility_tree.lookup(facility_id, buffer)
-        except StorageError:
+        except IndexKeyError:
             raise StorageError(
                 f"facility {facility_id} not present in the facility tree"
             ) from None

@@ -37,6 +37,8 @@ import os
 import struct
 import tempfile
 import threading
+from collections.abc import Sequence
+from itertools import repeat
 
 from repro.errors import (
     PackChecksumError,
@@ -78,6 +80,9 @@ _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _FACILITY_RECORD = struct.Struct("<qqd")
+# node, neighbour, edge, first node, length, facility count; then d costs
+# and the facility-page id list.
+_ADJACENCY_HEAD = struct.Struct("<qqqqdI")
 
 _KIND_CODES = {
     PageKind.ADJACENCY: 0,
@@ -109,8 +114,7 @@ def encode_page(page: Page, num_cost_types: int) -> bytes:
         for stored in page.records:
             record = stored.record
             parts.append(
-                struct.pack(
-                    "<qqqqdI",
+                _ADJACENCY_HEAD.pack(
                     stored.node,
                     record.neighbor,
                     record.edge_id,
@@ -152,82 +156,224 @@ def encode_page(page: Page, num_cost_types: int) -> bytes:
     return b"".join(parts)
 
 
-class _Cursor:
-    """Sequential struct reads over a buffer, with bounds checking."""
-
-    __slots__ = ("buffer", "offset", "end")
-
-    def __init__(self, buffer, offset: int, end: int):
-        self.buffer = buffer
-        self.offset = offset
-        self.end = end
-
-    def unpack(self, fmt: struct.Struct):
-        if self.offset + fmt.size > self.end:
-            raise PackFormatError("page slot ends mid-record (corrupt pack)")
-        values = fmt.unpack_from(self.buffer, self.offset)
-        self.offset += fmt.size
-        return values
-
-    def read_ids(self) -> tuple[int, ...]:
-        (count,) = self.unpack(_U32)
-        if count > (self.end - self.offset) // _I64.size:
-            raise PackFormatError("id list longer than its page slot (corrupt pack)")
-        values = struct.unpack_from(f"<{count}q", self.buffer, self.offset)
-        self.offset += count * _I64.size
-        return values
+def _mid_record() -> PackFormatError:
+    return PackFormatError("page slot ends mid-record (corrupt pack)")
 
 
-def decode_page(buffer, offset: int, slot_size: int, page_id: int, num_cost_types: int) -> Page:
-    """Decode the page stored in the slot starting at ``offset``."""
-    cursor = _Cursor(buffer, offset, offset + slot_size)
-    kind_code, record_count, used_bytes = cursor.unpack(_SLOT_HEADER)
+def _ids_overrun() -> PackFormatError:
+    return PackFormatError("id list longer than its page slot (corrupt pack)")
+
+
+def _read_ids(buffer, pos: int, end: int) -> tuple[tuple[int, ...], int]:
+    """The id list at ``pos`` (u32 count + i64s) and the offset past it."""
+    if pos + _U32.size > end:
+        raise _mid_record()
+    (count,) = _U32.unpack_from(buffer, pos)
+    pos += _U32.size
+    if count > (end - pos) >> 3:
+        raise _ids_overrun()
+    return struct.unpack_from(f"<{count}q", buffer, pos), pos + (count << 3)
+
+
+def _ids_at(buffer, pos: int) -> tuple[int, ...]:
+    """The id list at ``pos``, whose framing was already checked."""
+    (count,) = _U32.unpack_from(buffer, pos)
+    return struct.unpack_from(f"<{count}q", buffer, pos + _U32.size)
+
+
+def _frame_adjacency(buffer, pos: int, end: int, count: int, head: struct.Struct):
+    """Frame ``count`` adjacency records: their offsets and node column.
+
+    ``head`` unpacks a record's node and the length of its id list (the
+    record's last field); each record, list included, must fit the slot.
+    """
+    offsets: list[int] = []
+    nodes: list[int] = []
+    size = head.size
+    for _ in range(count):
+        if pos + size > end:
+            raise _mid_record()
+        node, ids = head.unpack_from(buffer, pos)
+        offsets.append(pos)
+        nodes.append(node)
+        pos += size + (ids << 3)
+        if pos > end:
+            raise _ids_overrun()
+    return offsets, nodes
+
+
+def _frame_values(buffer, pos: int, end: int, count: int, head_size: int):
+    """Frame ``count`` leaf values: their offsets and the offset past them.
+
+    A value is a ``head_size``-byte head ending in the u32 length of its id
+    list, then the list; each must fit the slot.
+    """
+    offsets: list[int] = []
+    append = offsets.append
+    unpack = _U32.unpack_from
+    skip = head_size - _U32.size
+    for _ in range(count):
+        if pos + head_size > end:
+            raise _mid_record()
+        append(pos)
+        pos += head_size + (unpack(buffer, pos + skip)[0] << 3)
+        if pos > end:
+            raise _ids_overrun()
+    return offsets, pos
+
+
+class _SlotRecords(Sequence):
+    """Records framed in a page slot and decoded only when accessed.
+
+    Holds the records' offsets into the pack's map (and a reference to the
+    :class:`FileDisk`, never a ``memoryview``), so what a buffered page
+    keeps resident is a column of ints.  Framing was checked when the page
+    was read, so decoding a record cannot overrun its slot; once the disk
+    is closed every access raises :class:`StorageError`.
+    """
+
+    __slots__ = ("_disk", "_offsets")
+
+    def __init__(self, disk: "FileDisk", offsets: list[int]):
+        self._disk = disk
+        self._offsets = offsets
+
+    def _decode(self, buffer, offset: int):
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index):
+        buffer = self._disk._map()
+        if isinstance(index, slice):
+            return [self._decode(buffer, offset) for offset in self._offsets[index]]
+        return self._decode(buffer, self._offsets[index])
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, _SlotRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class _AdjacencyRecords(_SlotRecords):
+    """The :class:`StoredAdjacencyEntry` records of an adjacency page."""
+
+    __slots__ = ("_nodes", "_costs")
+
+    def __init__(self, disk, offsets, nodes: list[int], costs: struct.Struct):
+        super().__init__(disk, offsets)
+        self._nodes = nodes
+        self._costs = costs
+
+    def _record(self, buffer, offset: int) -> AdjacencyRecord:
+        _node, neighbor, edge_id, first_node, length, facility_count = (
+            _ADJACENCY_HEAD.unpack_from(buffer, offset)
+        )
+        return AdjacencyRecord(
+            neighbor=neighbor,
+            edge_id=edge_id,
+            costs=self._costs.unpack_from(buffer, offset + _ADJACENCY_HEAD.size),
+            length=length,
+            first_node=first_node,
+            facility_count=facility_count,
+        )
+
+    def _decode(self, buffer, offset: int) -> StoredAdjacencyEntry:
+        (node,) = _I64.unpack_from(buffer, offset)
+        return StoredAdjacencyEntry(
+            node=node,
+            record=self._record(buffer, offset),
+            facility_pages=_ids_at(buffer, offset + _ADJACENCY_HEAD.size + self._costs.size),
+        )
+
+    def entries_of(self, node_id: int) -> list[AdjacencyRecord]:
+        """The adjacency records of ``node_id`` on this page, in page order."""
+        buffer = self._disk._map()
+        return [
+            self._record(buffer, offset)
+            for offset, node in zip(self._offsets, self._nodes)
+            if node == node_id
+        ]
+
+
+class _LeafValues(_SlotRecords):
+    """The values of a B+-tree leaf: page tuples (adjacency tree) or
+    ``(edge id, page tuple)`` pairs (facility tree)."""
+
+    __slots__ = ("_paired",)
+
+    def __init__(self, disk, offsets, paired: bool):
+        super().__init__(disk, offsets)
+        self._paired = paired
+
+    def _decode(self, buffer, offset: int):
+        if self._paired:
+            (edge_id,) = _I64.unpack_from(buffer, offset)
+            return edge_id, _ids_at(buffer, offset + _I64.size)
+        return _ids_at(buffer, offset)
+
+
+def decode_page(disk: "FileDisk", page_id: int) -> Page:
+    """Frame the page in slot ``page_id`` of ``disk``; decode what is cheap.
+
+    The whole slot is walked and validated — the kind code, every record
+    and id-list length against the slot end, every index record type — but
+    records are materialised only where a lookup needs them all: facility
+    records (fixed width, one pass) and internal B+-tree records.
+    Adjacency records and leaf values stay framed offsets
+    (:class:`_SlotRecords`) until accessed.
+    """
+    buffer = disk._map()
+    pos = HEADER_SIZE + page_id * disk._slot_size
+    end = pos + disk._slot_size
+    if pos + _SLOT_HEADER.size > end:
+        raise _mid_record()
+    kind_code, record_count, used_bytes = _SLOT_HEADER.unpack_from(buffer, pos)
+    pos += _SLOT_HEADER.size
     kind = _CODE_KINDS.get(kind_code)
     if kind is None:
         raise PackFormatError(f"page {page_id} has unknown kind code {kind_code}")
-    records: list[object] = []
     if kind is PageKind.ADJACENCY:
-        entry = struct.Struct("<qqqqdI")
-        costs_struct = struct.Struct(f"<{num_cost_types}d")
-        for _ in range(record_count):
-            node, neighbor, edge_id, first_node, length, facility_count = cursor.unpack(entry)
-            costs = cursor.unpack(costs_struct)
-            facility_pages = cursor.read_ids()
-            records.append(
-                StoredAdjacencyEntry(
-                    node=node,
-                    record=AdjacencyRecord(
-                        neighbor=neighbor,
-                        edge_id=edge_id,
-                        costs=costs,
-                        length=length,
-                        first_node=first_node,
-                        facility_count=facility_count,
-                    ),
-                    facility_pages=facility_pages,
-                )
-            )
+        offsets, nodes = _frame_adjacency(
+            buffer, pos, end, record_count, disk._adjacency_frame
+        )
+        records = _AdjacencyRecords(disk, offsets, nodes, disk._costs)
     elif kind is PageKind.FACILITY:
-        for _ in range(record_count):
-            facility_id, edge_id, facility_offset = cursor.unpack(_FACILITY_RECORD)
-            records.append(FacilityRecord(facility_id, edge_id, facility_offset))
+        size = record_count * _FACILITY_RECORD.size
+        if size > end - pos:
+            raise _mid_record()
+        # tuple.__new__ is what FacilityRecord._make does, minus its
+        # Python-level length check: iter_unpack yields exact triples.
+        records = list(
+            map(
+                tuple.__new__,
+                repeat(FacilityRecord),
+                _FACILITY_RECORD.iter_unpack(buffer[pos : pos + size]),
+            )
+        )
     else:
+        paired = kind is PageKind.FACILITY_INDEX
+        value_head = (_I64.size if paired else 0) + _U32.size
+        records = []
         for _ in range(record_count):
-            (record_type,) = cursor.unpack(_U8)
+            if pos + _U8.size > end:
+                raise _mid_record()
+            (record_type,) = _U8.unpack_from(buffer, pos)
+            pos += _U8.size
             if record_type == _LEAF:
-                keys = cursor.read_ids()
-                values: list[object] = []
-                if kind is PageKind.ADJACENCY_INDEX:
-                    for _ in keys:
-                        values.append(cursor.read_ids())
-                else:
-                    for _ in keys:
-                        (edge_id,) = cursor.unpack(_I64)
-                        values.append((edge_id, cursor.read_ids()))
-                records.append(_LeafRecord(keys=keys, values=tuple(values)))
+                keys, pos = _read_ids(buffer, pos, end)
+                offsets, pos = _frame_values(buffer, pos, end, len(keys), value_head)
+                records.append(_LeafRecord(keys=keys, values=_LeafValues(disk, offsets, paired)))
             elif record_type == _INTERNAL:
-                separators = cursor.read_ids()
-                children = cursor.read_ids()
+                separators, pos = _read_ids(buffer, pos, end)
+                children, pos = _read_ids(buffer, pos, end)
                 records.append(_InternalRecord(separators=separators, children=children))
             else:
                 raise PackFormatError(
@@ -514,8 +660,12 @@ class FileDisk:
     ``page_size`` / ``num_pages`` / ``statistics`` / :meth:`pages_of_kind` —
     so the LRU buffer pool, ``NetworkStorage``-style accessors, golden
     page-read fixtures and the differential oracle run unchanged over it.
-    Pages are decoded fresh on every read; resident memory is therefore
-    bounded by the buffer pool holding the decoded pages, not the dataset.
+    Every read frames and validates its whole slot (:func:`decode_page`)
+    but decodes adjacency records and B+-tree leaf values only when a
+    lookup touches them; what a page keeps resident is its offsets, so
+    memory stays bounded by the buffer pool holding the pages, not the
+    dataset.  Touching a page after :meth:`close` raises
+    :class:`StorageError`.
     """
 
     def __init__(self, path: str, *, verify_checksum: bool = True):
@@ -550,7 +700,12 @@ class FileDisk:
             if not isinstance(payload, dict):
                 raise PackFormatError(f"{self._path}: catalog is not a JSON object")
             self._catalog_payload = payload
-            self._num_cost_types = int(payload.get("num_cost_types", 1))
+            self._costs = struct.Struct(f"<{int(payload.get('num_cost_types', 1))}d")
+            # An adjacency record's node and the length of its id list, in
+            # one unpack: the page framing walk reads nothing else.
+            self._adjacency_frame = struct.Struct(
+                f"<q{_ADJACENCY_HEAD.size - _I64.size + self._costs.size}xI"
+            )
             counts = payload.get("page_kind_counts", {})
             self._kind_counts = {
                 kind: int(counts.get(kind.value, 0)) for kind in PageKind
@@ -580,13 +735,16 @@ class FileDisk:
     def allocate(self, kind: PageKind) -> Page:
         raise StorageError("a pack-backed disk is read-only")
 
-    def _decode(self, page_id: int) -> Page:
+    def _map(self):
+        """The live map; :class:`StorageError` once the pack is closed."""
         if self._closed:
             raise StorageError(f"{self._path}: pack is closed")
+        return self._mm
+
+    def _decode(self, page_id: int) -> Page:
         if not 0 <= page_id < self._num_pages:
             raise StorageError(f"unknown page {page_id}")
-        offset = HEADER_SIZE + page_id * self._slot_size
-        return decode_page(self._mm, offset, self._slot_size, page_id, self._num_cost_types)
+        return decode_page(self, page_id)
 
     def read(self, page_id: int) -> Page:
         """Physically read a page (counted; safe under concurrent readers)."""
@@ -627,8 +785,9 @@ class FileDisk:
 
     @property
     def buffer(self):
-        """The raw ``mmap`` (sections are bisected in place, never copied)."""
-        return self._mm
+        """The raw ``mmap`` (sections are bisected in place, never copied);
+        :class:`StorageError` once the pack is closed."""
+        return self._map()
 
     def close(self) -> None:
         if not self._closed:
