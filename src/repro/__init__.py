@@ -69,10 +69,8 @@ to sequential library calls (``repro-mcn serve --replay``).
 The pre-facade stacks stay available for low-level work:
 :class:`MCNQueryEngine` (one-shot calls and search objects),
 :class:`QueryService` (batch + submit/drain streaming),
-:class:`ShardedQueryService` and :class:`MonitoringService`.  Their
-pre-policy keyword arguments keep working behind thin shims that emit
-:class:`DeprecationWarning`\\ s; new code passes ``policy=`` or goes through
-the session.
+:class:`ShardedQueryService` and :class:`MonitoringService`, each
+configured by an :class:`ExecutionPolicy` passed as ``policy=``.
 """
 
 from repro.api import (
@@ -122,11 +120,7 @@ from repro.network.costs import CostVector
 from repro.network.facilities import Facility, FacilitySet
 from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
-from repro.parallel import (
-    ParallelExecution,
-    ShardedBatchReport,
-    ShardedQueryService,
-)
+from repro.parallel import ShardedBatchReport, ShardedQueryService
 from repro.service import (
     BatchReport,
     CrossQueryExpansionCache,
@@ -144,7 +138,7 @@ from repro.temporal import (
 )
 from repro.timedep import TimeVaryingMCN, peak_profile, stable_intervals
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BatchReport",
@@ -172,7 +166,6 @@ __all__ = [
     "MultiCostGraph",
     "NetworkLocation",
     "NetworkStorage",
-    "ParallelExecution",
     "PolicyError",
     "ProbingPolicy",
     "QueryError",

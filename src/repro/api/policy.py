@@ -1,14 +1,11 @@
 """The declarative execution configuration: :class:`ExecutionPolicy`.
 
-Before the :class:`~repro.api.Session` facade existed, each execution stack
-grew its own overlapping knobs — ``use_disk=`` on the engine, ``compiled=``
-in three places, ``memoize_results=`` on the batch service,
-``parallel=ParallelExecution(...)`` on ``run_batch`` and the monitoring
-service.  An :class:`ExecutionPolicy` replaces all of them with one frozen,
-hashable, JSON-serialisable value object: *where* the data lives
-(``residency``), *how* searches run (``algorithm``, ``compiled``), *how wide*
-(``workers`` / ``routing`` / ``executor``), and *what is shared* across
-queries (``memoize_results`` / ``harvest_settled`` / ``max_cached_entries``).
+An :class:`ExecutionPolicy` is the one way to configure how the batch,
+sharded and monitoring services execute.  It is a frozen, hashable,
+JSON-serialisable value object: *where* the data lives (``residency``),
+*how* searches run (``algorithm``, ``compiled``), *how wide* (``workers`` /
+``routing`` / ``executor``), and *what is shared* across queries
+(``memoize_results`` / ``harvest_settled`` / ``max_cached_entries``).
 
 Every field is validated at construction — a bad policy raises
 :class:`~repro.errors.PolicyError` with an actionable message before any
@@ -33,15 +30,9 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import os
-import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import PolicyError
-
-if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
-    from repro.parallel import ParallelExecution
 
 __all__ = [
     "ALGORITHMS",
@@ -56,7 +47,6 @@ __all__ = [
     "VECTOR_ENV_VAR",
     "VECTOR_MODES",
     "compiled_env_default",
-    "legacy_kwargs_warning",
     "numpy_available",
     "policy_from_payload",
     "policy_to_payload",
@@ -89,7 +79,7 @@ _NUMPY_AVAILABLE: bool | None = None
 
 #: Canonical parallel-execution vocabulary.  Defined here (the only module
 #: every execution stack can import without a cycle) and re-exported by
-#: :mod:`repro.parallel` for backwards compatibility.
+#: :mod:`repro.parallel`.
 ROUTINGS = ("round_robin", "locality")
 EXECUTORS = ("process", "thread", "serial")
 
@@ -170,23 +160,6 @@ def resolve_vector(mode: str) -> bool:
         return vector_env_default()
     raise PolicyError(
         f"unknown vector mode {mode!r}; expected one of {VECTOR_MODES}"
-    )
-
-
-def legacy_kwargs_warning(owner: str, names: Iterable[str], hint: str) -> None:
-    """Emit the shared deprecation warning for pre-policy keyword arguments.
-
-    The old kwargs keep working (they are folded into an equivalent
-    :class:`ExecutionPolicy`), but new code should pass ``policy=`` or go
-    through :class:`repro.api.Session`.
-    """
-    listed = ", ".join(f"{name}=..." for name in sorted(names))
-    warnings.warn(
-        f"{owner}({listed}) is deprecated; pass "
-        f"policy=ExecutionPolicy({hint}) instead, or drive execution through "
-        "repro.api.Session",
-        DeprecationWarning,
-        stacklevel=3,
     )
 
 
@@ -414,21 +387,6 @@ class ExecutionPolicy:
         """The effective vectorised-kernel decision (``"auto"`` resolved against
         ``REPRO_VECTOR`` and numpy availability)."""
         return resolve_vector(self.vector)
-
-    @property
-    def parallel(self) -> "ParallelExecution | None":
-        """The equivalent :class:`~repro.parallel.ParallelExecution`, or ``None``.
-
-        ``None`` when ``workers == 1`` — sequential execution needs no
-        parallelism spec.
-        """
-        if self.workers == 1:
-            return None
-        from repro.parallel import ParallelExecution
-
-        return ParallelExecution(
-            workers=self.workers, routing=self.routing, executor=self.executor
-        )
 
     # ------------------------------------------------------------------ #
     # JSON payload codecs

@@ -295,7 +295,8 @@ def _run_batch(engine, storage, requests, label, repeats, *, workers: int = 0) -
         if storage is not None:
             storage.reset_statistics(clear_buffer=True)
         if workers:
-            service = ShardedQueryService(engine, workers=workers, executor="serial")
+            policy = ExecutionPolicy(workers=workers, executor="serial")
+            service = ShardedQueryService(engine, policy=policy)
             report = service.run_batch(requests)
         else:
             report = QueryService(engine).run_batch(requests)

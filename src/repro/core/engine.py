@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 
-from repro.api.policy import COMPILED_ENV_VAR, compiled_env_default, vector_env_default
+from repro.api.policy import compiled_env_default, vector_env_default
 from repro.core.aggregates import (
     AggregateFunction,
     MaxCost,
@@ -42,7 +42,7 @@ from repro.network.graph import MultiCostGraph
 from repro.network.location import NetworkLocation
 from repro.storage.scheme import NetworkStorage
 
-__all__ = ["MCNQueryEngine", "COMPILED_ENV_VAR", "compiled_default_enabled"]
+__all__ = ["MCNQueryEngine"]
 
 _ALGORITHMS = ("cea", "lsa", "baseline")
 
@@ -50,16 +50,6 @@ _ALGORITHMS = ("cea", "lsa", "baseline")
 # repro.api.policy — and consulted here when an engine is built without an
 # explicit ``compiled=`` argument.  CI sets it to drive the *entire* test
 # suite through the kernel, the strongest differential guarantee we run.
-# ``COMPILED_ENV_VAR`` is re-exported for backwards compatibility.
-
-
-def compiled_default_enabled() -> bool:
-    """Whether the fast path is enabled by default (the ``REPRO_COMPILED`` toggle).
-
-    Thin alias of :func:`repro.api.policy.compiled_env_default`, the single
-    source of truth for the environment toggle.
-    """
-    return compiled_env_default()
 
 
 class MCNQueryEngine:
@@ -133,7 +123,7 @@ class MCNQueryEngine:
             self._accessor = InMemoryAccessor(graph, facilities)
         self._vector = vector_env_default() if vector is None else bool(vector)
         if compiled is None:
-            compiled = compiled_default_enabled()
+            compiled = compiled_env_default()
         if isinstance(compiled, CompiledGraph):
             if compiled.graph is not graph:
                 raise QueryError("the compiled graph was built over a different graph")

@@ -47,6 +47,7 @@ from repro.core.expansion import ExpansionSeeds, NearestFacilityExpansion
 from repro.core.kernel import make_kernel_data_layer
 from repro.core.vector import kernel_class_for
 from repro.core.results import SkylineResult, TopKResult
+from repro.counters import Counters
 from repro.core.skyline import MCNSkylineSearch
 from repro.core.topk import MCNTopKSearch
 from repro.errors import FacilityError, QueryError
@@ -61,7 +62,7 @@ __all__ = ["MaintenanceStatistics", "SkylineMaintainer", "TopKMaintainer"]
 
 
 @dataclass
-class MaintenanceStatistics:
+class MaintenanceStatistics(Counters):
     """How often each maintenance path was taken."""
 
     insertions: int = 0
@@ -70,37 +71,6 @@ class MaintenanceStatistics:
     recomputations: int = 0
     query_moves: int = 0
     edge_cost_refreshes: int = 0
-
-    def snapshot(self) -> "MaintenanceStatistics":
-        """A copy of the current counters (used to diff before/after a tick)."""
-        return MaintenanceStatistics(
-            insertions=self.insertions,
-            deletions=self.deletions,
-            incremental_updates=self.incremental_updates,
-            recomputations=self.recomputations,
-            query_moves=self.query_moves,
-            edge_cost_refreshes=self.edge_cost_refreshes,
-        )
-
-    def since(self, earlier: "MaintenanceStatistics") -> "MaintenanceStatistics":
-        """The counter deltas accumulated since ``earlier`` was snapshotted."""
-        return MaintenanceStatistics(
-            insertions=self.insertions - earlier.insertions,
-            deletions=self.deletions - earlier.deletions,
-            incremental_updates=self.incremental_updates - earlier.incremental_updates,
-            recomputations=self.recomputations - earlier.recomputations,
-            query_moves=self.query_moves - earlier.query_moves,
-            edge_cost_refreshes=self.edge_cost_refreshes - earlier.edge_cost_refreshes,
-        )
-
-    def accumulate(self, other: "MaintenanceStatistics") -> None:
-        """Add ``other``'s counters into this one (summing across subscriptions)."""
-        self.insertions += other.insertions
-        self.deletions += other.deletions
-        self.incremental_updates += other.incremental_updates
-        self.recomputations += other.recomputations
-        self.query_moves += other.query_moves
-        self.edge_cost_refreshes += other.edge_cost_refreshes
 
 
 class _QueryDistanceMaps:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Protocol, runtime_checkable
 
+from repro.counters import Counters
 from repro.errors import FacilityError
 from repro.network.facilities import FacilityId, FacilitySet
 from repro.network.graph import EdgeId, MultiCostGraph, NodeId
@@ -54,7 +55,7 @@ class FacilityRecord(NamedTuple):
 
 
 @dataclass
-class AccessStatistics:
+class AccessStatistics(Counters):
     """Counters of the logical and physical work done through an accessor."""
 
     adjacency_requests: int = 0
@@ -63,44 +64,9 @@ class AccessStatistics:
     page_reads: int = 0
     buffer_hits: int = 0
 
-    def reset(self) -> None:
-        self.adjacency_requests = 0
-        self.facility_requests = 0
-        self.facility_tree_requests = 0
-        self.page_reads = 0
-        self.buffer_hits = 0
-
     @property
     def total_requests(self) -> int:
         return self.adjacency_requests + self.facility_requests + self.facility_tree_requests
-
-    def snapshot(self) -> "AccessStatistics":
-        """A copy of the current counters (used to diff before/after a query)."""
-        return AccessStatistics(
-            adjacency_requests=self.adjacency_requests,
-            facility_requests=self.facility_requests,
-            facility_tree_requests=self.facility_tree_requests,
-            page_reads=self.page_reads,
-            buffer_hits=self.buffer_hits,
-        )
-
-    def since(self, earlier: "AccessStatistics") -> "AccessStatistics":
-        """The counter deltas accumulated since ``earlier`` was snapshotted."""
-        return AccessStatistics(
-            adjacency_requests=self.adjacency_requests - earlier.adjacency_requests,
-            facility_requests=self.facility_requests - earlier.facility_requests,
-            facility_tree_requests=self.facility_tree_requests - earlier.facility_tree_requests,
-            page_reads=self.page_reads - earlier.page_reads,
-            buffer_hits=self.buffer_hits - earlier.buffer_hits,
-        )
-
-    def accumulate(self, other: "AccessStatistics") -> None:
-        """Add ``other``'s counters into this one (merging per-shard reports)."""
-        self.adjacency_requests += other.adjacency_requests
-        self.facility_requests += other.facility_requests
-        self.facility_tree_requests += other.facility_tree_requests
-        self.page_reads += other.page_reads
-        self.buffer_hits += other.buffer_hits
 
 
 @runtime_checkable

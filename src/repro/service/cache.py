@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.expansion import ExpansionSeeds
 from repro.core.kernel import DirectChargeLayer, KernelDataLayer
+from repro.counters import Counters
 from repro.errors import QueryError
 from repro.network.accessor import (
     AccessStatistics,
@@ -47,7 +48,7 @@ __all__ = ["CacheStatistics", "CrossQueryExpansionCache", "SharedCacheChargeLaye
 
 
 @dataclass
-class CacheStatistics:
+class CacheStatistics(Counters):
     """Hit/miss counters of the cross-query cache (all cumulative)."""
 
     adjacency_hits: int = 0
@@ -76,20 +77,6 @@ class CacheStatistics:
         """Fraction of record requests served from the cache (0.0 when idle)."""
         total = self.record_hits + self.record_misses
         return self.record_hits / total if total else 0.0
-
-    def snapshot(self) -> "CacheStatistics":
-        return CacheStatistics(**vars(self))
-
-    def since(self, earlier: "CacheStatistics") -> "CacheStatistics":
-        """The counter deltas accumulated since ``earlier`` was snapshotted."""
-        return CacheStatistics(
-            **{name: value - getattr(earlier, name) for name, value in vars(self).items()}
-        )
-
-    def accumulate(self, other: "CacheStatistics") -> None:
-        """Add ``other``'s counters into this one (merging per-shard reports)."""
-        for name, value in vars(other).items():
-            setattr(self, name, getattr(self, name) + value)
 
 
 class CrossQueryExpansionCache:

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
-from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy, legacy_kwargs_warning
+from repro.api.policy import DEFAULT_POLICY, ExecutionPolicy
 from repro.core.baseline import baseline_skyline, baseline_top_k
 from repro.core.engine import MCNQueryEngine
 from repro.core.results import SkylineResult, TopKResult
@@ -52,9 +51,6 @@ from repro.service.requests import (
     SkylineRequest,
     TopKRequest,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.parallel import ParallelExecution
 
 __all__ = ["QueryService", "validate_request"]
 
@@ -88,60 +84,24 @@ class QueryService:
         Optional pre-built :class:`CrossQueryExpansionCache`; it must wrap
         the engine's own accessor.  By default a fresh cache is created.
     policy:
-        An :class:`~repro.api.ExecutionPolicy` supplying the caching knobs
-        (``memoize_results`` / ``harvest_settled`` / ``max_cached_entries``).
-        This is the constructor the :class:`repro.api.Session` facade uses;
-        the policy's parallelism fields are ignored here (sharding is the
-        caller's concern — see :meth:`run_batch`).
-    memoize_results / harvest_settled / max_cached_entries:
-        **Deprecated** keyword equivalents of the policy's caching fields,
-        kept working for pre-policy call sites (a :class:`DeprecationWarning`
-        is emitted).  ``memoize_results`` answers identical repeat requests
-        from a result memo; ``harvest_settled`` keeps finished queries'
-        settled node distances in the cache; ``max_cached_entries`` bounds
-        the default cache (LRU, ``None`` = unbounded) and is mutually
-        exclusive with ``cache``.
+        An :class:`~repro.api.ExecutionPolicy` supplying the caching knobs:
+        ``memoize_results`` answers identical repeat requests from a result
+        memo; ``harvest_settled`` keeps finished queries' settled node
+        distances in the cache; ``max_cached_entries`` bounds the default
+        cache (LRU, ``None`` = unbounded) and is mutually exclusive with
+        ``cache``.  The policy's parallelism fields are ignored here
+        (sharding is the caller's concern — see :meth:`run_batch`).
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
         engine: MCNQueryEngine,
         *,
         cache: CrossQueryExpansionCache | None = None,
-        memoize_results: bool = _UNSET,  # type: ignore[assignment]
-        harvest_settled: bool = _UNSET,  # type: ignore[assignment]
-        max_cached_entries: int | None = _UNSET,  # type: ignore[assignment]
-        policy: ExecutionPolicy | None = None,
+        policy: ExecutionPolicy = DEFAULT_POLICY,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("memoize_results", memoize_results),
-                ("harvest_settled", harvest_settled),
-                ("max_cached_entries", max_cached_entries),
-            )
-            if value is not QueryService._UNSET
-        }
-        if policy is not None:
-            if legacy:
-                raise PolicyError(
-                    f"pass either policy= or the legacy knobs {sorted(legacy)}, "
-                    "not both"
-                )
-            if not isinstance(policy, ExecutionPolicy):
-                raise PolicyError(
-                    f"expected an ExecutionPolicy, got {type(policy).__name__}"
-                )
-        else:
-            if legacy:
-                legacy_kwargs_warning(
-                    "QueryService",
-                    legacy,
-                    "memoize_results=..., harvest_settled=..., max_cached_entries=...",
-                )
-            policy = DEFAULT_POLICY.replace(**legacy) if legacy else DEFAULT_POLICY
+        if not isinstance(policy, ExecutionPolicy):
+            raise PolicyError(f"expected an ExecutionPolicy, got {type(policy).__name__}")
         if cache is not None:
             if cache.base_accessor is not engine.accessor:
                 raise QueryError("the cache must wrap the engine's own accessor")
@@ -246,7 +206,6 @@ class QueryService:
         self,
         requests: Sequence[QueryRequest],
         *,
-        parallel: "ParallelExecution | None" = None,
         policy: ExecutionPolicy | None = None,
     ) -> BatchReport:
         """Execute ``requests`` in order and return a :class:`BatchReport`.
@@ -265,28 +224,14 @@ class QueryService:
         With ``workers == 1`` (or no override) the batch runs sequentially
         through this service's own cache.
 
-        ``parallel=`` is the **deprecated** pre-policy spelling of the same
-        delegation; the shard workers then inherit this service's caching
-        knobs.
-
         Example
         -------
         >>> report = service.run_batch([SkylineRequest(q) for q in queries])  # doctest: +SKIP
         >>> report.page_reads  # doctest: +SKIP
         """
-        if parallel is not None:
-            if policy is not None:
-                raise PolicyError("pass either parallel= or policy=, not both")
-            legacy_kwargs_warning(
-                "QueryService.run_batch", ("parallel",), "workers=..., routing=..., executor=..."
-            )
-            if parallel.workers > 1:
-                # Imported lazily: repro.parallel depends on this module.
-                from repro.parallel import ShardedQueryService
-
-                return ShardedQueryService.from_service(self, parallel).run_batch(requests)
-        elif policy is not None:
+        if policy is not None:
             if policy.workers > 1:
+                # Imported lazily: repro.parallel depends on this module.
                 from repro.parallel import ShardedQueryService
 
                 return ShardedQueryService(self._engine, policy=policy).run_batch(requests)

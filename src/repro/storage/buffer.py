@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.counters import Counters
 from repro.errors import StorageError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pages import Page
@@ -20,7 +21,7 @@ __all__ = ["BufferStatistics", "LRUBufferPool"]
 
 
 @dataclass
-class BufferStatistics:
+class BufferStatistics(Counters):
     """Logical request counters of the buffer pool."""
 
     requests: int = 0
@@ -30,11 +31,6 @@ class BufferStatistics:
     @property
     def hit_ratio(self) -> float:
         return self.hits / self.requests if self.requests else 0.0
-
-    def reset(self) -> None:
-        self.requests = 0
-        self.hits = 0
-        self.misses = 0
 
 
 class LRUBufferPool:

@@ -1,8 +1,9 @@
 """Dataset catalogs and the packed (file-backed) storage accessor.
 
-The :class:`DatasetCatalog` is the metadata record embedded in every dataset
-pack: page geometry, per-kind page counts, B+-tree shapes and the binary
-section directory.  :func:`open_dataset` maps a pack and returns a
+The :class:`DatasetCatalog` (defined with the pack format in
+:mod:`repro.storage.persist`) is the metadata record embedded in every
+dataset pack: page geometry, per-kind page counts, B+-tree shapes and the
+binary section directory.  :func:`open_dataset` maps a pack and returns a
 :class:`PackedDataset`, from which :meth:`~PackedDataset.storage` builds a
 :class:`PackedNetworkStorage` — an accessor with the exact read behaviour
 (same pages, same order, same counters) as the in-RAM
@@ -22,7 +23,6 @@ A pack can be opened in two modes:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 from repro.errors import GraphError, IndexKeyError, PackFormatError, StorageError
 from repro.network.accessor import AccessStatistics, AdjacencyRecord, FacilityRecord
@@ -31,7 +31,7 @@ from repro.network.graph import Edge, EdgeId, Node, NodeId
 from repro.storage.btree import StaticBPlusTree
 from repro.storage.buffer import LRUBufferPool
 from repro.storage.pages import PageKind
-from repro.storage.persist import FileDisk, PackWriter
+from repro.storage.persist import DatasetCatalog, FileDisk, PackWriter, TreeShape
 from repro.storage.scheme import StorageSnapshotView
 
 __all__ = [
@@ -53,107 +53,6 @@ SECTION_EDGE_TABLE = "edge_table"
 SECTION_FACILITY_EDGE_IDS = "facility_edge_ids"
 SECTION_FACILITY_EDGE_OFFSETS = "facility_edge_offsets"
 SECTION_FACILITY_EDGE_PAGES = "facility_edge_pages"
-
-
-@dataclass(frozen=True)
-class TreeShape:
-    """Shape metadata of one bulk-loaded B+-tree inside a pack."""
-
-    root_page_id: int | None
-    height: int
-    num_entries: int
-
-    def to_payload(self) -> dict:
-        return {
-            "root_page_id": self.root_page_id,
-            "height": self.height,
-            "num_entries": self.num_entries,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TreeShape":
-        root = payload.get("root_page_id")
-        return cls(
-            root_page_id=None if root is None else int(root),
-            height=int(payload.get("height", 0)),
-            num_entries=int(payload.get("num_entries", 0)),
-        )
-
-
-@dataclass(frozen=True)
-class DatasetCatalog:
-    """Everything a reader needs to interpret a dataset pack."""
-
-    format_version: int
-    page_size: int
-    slot_size: int
-    num_pages: int
-    num_cost_types: int
-    directed: bool
-    num_nodes: int
-    num_edges: int
-    num_facilities: int
-    page_kind_counts: dict[str, int]
-    adjacency_tree: TreeShape
-    facility_tree: TreeShape
-    sections: dict[str, tuple[int, int]]
-    checksum: str
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def mcn_page_count(self) -> int:
-        """Pages of the MCN information (adjacency file + adjacency tree)."""
-        return self.page_kind_counts.get(
-            PageKind.ADJACENCY.value, 0
-        ) + self.page_kind_counts.get(PageKind.ADJACENCY_INDEX.value, 0)
-
-    @classmethod
-    def from_payload(cls, payload: dict, *, checksum: str = "") -> "DatasetCatalog":
-        try:
-            return cls(
-                format_version=int(payload["format_version"]),
-                page_size=int(payload["page_size"]),
-                slot_size=int(payload["slot_size"]),
-                num_pages=int(payload["num_pages"]),
-                num_cost_types=int(payload["num_cost_types"]),
-                directed=bool(payload["directed"]),
-                num_nodes=int(payload["num_nodes"]),
-                num_edges=int(payload["num_edges"]),
-                num_facilities=int(payload["num_facilities"]),
-                page_kind_counts={
-                    str(kind): int(count)
-                    for kind, count in payload["page_kind_counts"].items()
-                },
-                adjacency_tree=TreeShape.from_payload(payload["adjacency_tree"]),
-                facility_tree=TreeShape.from_payload(payload["facility_tree"]),
-                sections={
-                    str(name): (int(bounds[0]), int(bounds[1]))
-                    for name, bounds in payload["sections"].items()
-                },
-                checksum=str(payload.get("checksum", checksum)),
-                extras=dict(payload.get("extras", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PackFormatError(f"incomplete pack catalog: {exc}") from None
-
-    def describe(self) -> dict:
-        """Flat summary used by ``inspect-dataset`` and tests."""
-        return {
-            "format_version": self.format_version,
-            "page_size": self.page_size,
-            "slot_size": self.slot_size,
-            "num_pages": self.num_pages,
-            "num_cost_types": self.num_cost_types,
-            "directed": self.directed,
-            "num_nodes": self.num_nodes,
-            "num_edges": self.num_edges,
-            "num_facilities": self.num_facilities,
-            "mcn_pages": self.mcn_page_count,
-            "page_kind_counts": dict(self.page_kind_counts),
-            "adjacency_tree_height": self.adjacency_tree.height,
-            "facility_tree_height": self.facility_tree.height,
-            "checksum": self.checksum,
-        }
 
 
 def _bisect_section(mm, base: int, count: int, key: int, stride: int = _I64.size) -> int:
@@ -349,8 +248,13 @@ class PackedNetworkStorage:
         # per-edge [start, end) offsets, and the flat page-id blob.
         self._fac_ids_base, fac_ids_bytes = disk.section_bounds(SECTION_FACILITY_EDGE_IDS)
         self._num_facility_edges = fac_ids_bytes // _I64.size
-        self._fac_offsets_base, _ = disk.section_bounds(SECTION_FACILITY_EDGE_OFFSETS)
-        self._fac_pages_base, _ = disk.section_bounds(SECTION_FACILITY_EDGE_PAGES)
+        self._fac_offsets_base, fac_offsets_bytes = disk.section_bounds(
+            SECTION_FACILITY_EDGE_OFFSETS
+        )
+        if fac_offsets_bytes < (self._num_facility_edges + 1) * _U64.size:
+            raise PackFormatError("facility-page offset section is shorter than its edge list")
+        self._fac_pages_base, fac_pages_bytes = disk.section_bounds(SECTION_FACILITY_EDGE_PAGES)
+        self._num_facility_pages = fac_pages_bytes // _I64.size
 
     # ------------------------------------------------------------------ #
     # Sizing / introspection (NetworkStorage parity)
@@ -456,6 +360,8 @@ class PackedNetworkStorage:
         start, end = struct.unpack_from(
             "<QQ", mm, self._fac_offsets_base + index * _U64.size
         )
+        if not start <= end <= self._num_facility_pages:
+            raise PackFormatError(f"facility-page offsets of edge {edge_id} overrun their section")
         return struct.unpack_from(
             f"<{end - start}q", mm, self._fac_pages_base + start * _I64.size
         )
@@ -550,14 +456,7 @@ def open_dataset(path: str, *, verify_checksum: bool = True) -> PackedDataset:
     :class:`~repro.errors.PackChecksumError`) on malformed or corrupt files.
     """
     disk = FileDisk(path, verify_checksum=verify_checksum)
-    try:
-        catalog = DatasetCatalog.from_payload(
-            disk.catalog_payload, checksum=disk.checksum.hex()
-        )
-    except Exception:
-        disk.close()
-        raise
-    return PackedDataset(disk, catalog)
+    return PackedDataset(disk, disk.catalog)
 
 
 # --------------------------------------------------------------------- #

@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from repro.counters import Counters
 from repro.errors import StorageError
 from repro.storage.pages import Page, PageKind
 
@@ -12,15 +13,11 @@ __all__ = ["DiskStatistics", "SimulatedDisk"]
 
 
 @dataclass
-class DiskStatistics:
+class DiskStatistics(Counters):
     """Raw physical I/O counters of the simulated disk."""
 
     page_reads: int = 0
     page_writes: int = 0
-
-    def reset(self) -> None:
-        self.page_reads = 0
-        self.page_writes = 0
 
 
 class SimulatedDisk:

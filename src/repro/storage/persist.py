@@ -38,6 +38,7 @@ import struct
 import tempfile
 import threading
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 from itertools import repeat
 
 from repro.errors import (
@@ -55,9 +56,11 @@ from repro.storage.pages import Page, PageKind
 __all__ = [
     "PACK_MAGIC",
     "PACK_VERSION",
+    "DatasetCatalog",
     "FileDisk",
     "PackWriter",
     "SpoolingDisk",
+    "TreeShape",
     "compute_pack_checksum",
     "read_pack_header",
 ]
@@ -641,6 +644,11 @@ def read_pack_header(path: str) -> dict:
         raise PackFormatError(
             f"{path}: truncated pack ({size} bytes, catalog ends at {expected})"
         )
+    if HEADER_SIZE + num_pages * slot_size > catalog_offset:
+        raise PackFormatError(
+            f"{path}: {num_pages} page slots of {slot_size} bytes overrun the "
+            f"catalog at offset {catalog_offset}"
+        )
     return {
         "page_size": page_size,
         "slot_size": slot_size,
@@ -650,6 +658,150 @@ def read_pack_header(path: str) -> dict:
         "checksum": checksum,
         "file_size": size,
     }
+
+
+# --------------------------------------------------------------------- #
+# Catalog
+# --------------------------------------------------------------------- #
+def _catalog_int(value, name: str, minimum: int = 0) -> int:
+    """One integer catalog field; bools, floats and values below ``minimum``
+    are a :class:`PackFormatError`, never a lossy ``int()``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise PackFormatError(
+            f"catalog field {name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
+def _catalog_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise PackFormatError(
+            f"catalog field {name} must be a JSON object, got {type(value).__name__}"
+        )
+    return value
+
+
+def _section_bounds(name: str, bounds) -> tuple[int, int]:
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise PackFormatError(
+            f"catalog field sections.{name} must be an [offset, length] pair, got {bounds!r}"
+        )
+    return (
+        _catalog_int(bounds[0], f"sections.{name}"),
+        _catalog_int(bounds[1], f"sections.{name}"),
+    )
+
+
+@dataclass(frozen=True)
+class TreeShape:
+    """Shape metadata of one bulk-loaded B+-tree inside a pack."""
+
+    root_page_id: int | None
+    height: int
+    num_entries: int
+
+    def to_payload(self) -> dict:
+        return {
+            "root_page_id": self.root_page_id,
+            "height": self.height,
+            "num_entries": self.num_entries,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict, name: str = "tree") -> "TreeShape":
+        payload = _catalog_object(payload, name)
+        root = payload.get("root_page_id")
+        return cls(
+            root_page_id=None if root is None else _catalog_int(root, f"{name}.root_page_id"),
+            height=_catalog_int(payload.get("height", 0), f"{name}.height"),
+            num_entries=_catalog_int(payload.get("num_entries", 0), f"{name}.num_entries"),
+        )
+
+
+@dataclass(frozen=True)
+class DatasetCatalog:
+    """Everything a reader needs to interpret a dataset pack.
+
+    :meth:`from_payload` is the one place the catalog JSON is validated:
+    every integer field is a true integer (``num_cost_types`` at least 1),
+    page counts and sections are objects of integers, tree shapes are
+    objects.  Anything else raises :class:`PackFormatError`.
+    """
+
+    format_version: int
+    page_size: int
+    slot_size: int
+    num_pages: int
+    num_cost_types: int
+    directed: bool
+    num_nodes: int
+    num_edges: int
+    num_facilities: int
+    page_kind_counts: dict[str, int]
+    adjacency_tree: TreeShape
+    facility_tree: TreeShape
+    sections: dict[str, tuple[int, int]]
+    checksum: str
+    extras: dict = field(default_factory=dict)
+
+    @property
+    def mcn_page_count(self) -> int:
+        """Pages of the MCN information (adjacency file + adjacency tree)."""
+        return self.page_kind_counts.get(
+            PageKind.ADJACENCY.value, 0
+        ) + self.page_kind_counts.get(PageKind.ADJACENCY_INDEX.value, 0)
+
+    @classmethod
+    def from_payload(cls, payload: dict, *, checksum: str = "") -> "DatasetCatalog":
+        payload = _catalog_object(payload, "catalog")
+        try:
+            counts = _catalog_object(payload["page_kind_counts"], "page_kind_counts")
+            sections = _catalog_object(payload["sections"], "sections")
+            return cls(
+                format_version=_catalog_int(payload["format_version"], "format_version"),
+                page_size=_catalog_int(payload["page_size"], "page_size"),
+                slot_size=_catalog_int(payload["slot_size"], "slot_size"),
+                num_pages=_catalog_int(payload["num_pages"], "num_pages"),
+                num_cost_types=_catalog_int(payload["num_cost_types"], "num_cost_types", 1),
+                directed=bool(payload["directed"]),
+                num_nodes=_catalog_int(payload["num_nodes"], "num_nodes"),
+                num_edges=_catalog_int(payload["num_edges"], "num_edges"),
+                num_facilities=_catalog_int(payload["num_facilities"], "num_facilities"),
+                page_kind_counts={
+                    kind: _catalog_int(count, f"page_kind_counts.{kind}")
+                    for kind, count in counts.items()
+                },
+                adjacency_tree=TreeShape.from_payload(
+                    payload["adjacency_tree"], "adjacency_tree"
+                ),
+                facility_tree=TreeShape.from_payload(payload["facility_tree"], "facility_tree"),
+                sections={
+                    name: _section_bounds(name, bounds) for name, bounds in sections.items()
+                },
+                checksum=str(payload.get("checksum", checksum)),
+                extras=dict(payload.get("extras", {})),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PackFormatError(f"incomplete pack catalog: {exc}") from None
+
+    def describe(self) -> dict:
+        """Flat summary used by ``inspect-dataset`` and tests."""
+        return {
+            "format_version": self.format_version,
+            "page_size": self.page_size,
+            "slot_size": self.slot_size,
+            "num_pages": self.num_pages,
+            "num_cost_types": self.num_cost_types,
+            "directed": self.directed,
+            "num_nodes": self.num_nodes,
+            "num_edges": self.num_edges,
+            "num_facilities": self.num_facilities,
+            "mcn_pages": self.mcn_page_count,
+            "page_kind_counts": dict(self.page_kind_counts),
+            "adjacency_tree_height": self.adjacency_tree.height,
+            "facility_tree_height": self.facility_tree.height,
+            "checksum": self.checksum,
+        }
 
 
 class FileDisk:
@@ -695,20 +847,24 @@ class FileDisk:
             end = start + header["catalog_length"]
             try:
                 payload = json.loads(self._mm[start:end].decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers bad UTF-8, bad JSON and integers past
+                # the interpreter's digit limit; RecursionError deep nesting.
                 raise PackFormatError(f"{self._path}: undecodable catalog: {exc}") from None
-            if not isinstance(payload, dict):
-                raise PackFormatError(f"{self._path}: catalog is not a JSON object")
-            self._catalog_payload = payload
-            self._costs = struct.Struct(f"<{int(payload.get('num_cost_types', 1))}d")
+            try:
+                catalog = DatasetCatalog.from_payload(payload, checksum=header["checksum"].hex())
+            except PackFormatError as exc:
+                raise PackFormatError(f"{self._path}: {exc}") from None
+            self._check_geometry(catalog, header)
+            self._catalog = catalog
+            self._costs = struct.Struct(f"<{catalog.num_cost_types}d")
             # An adjacency record's node and the length of its id list, in
             # one unpack: the page framing walk reads nothing else.
             self._adjacency_frame = struct.Struct(
                 f"<q{_ADJACENCY_HEAD.size - _I64.size + self._costs.size}xI"
             )
-            counts = payload.get("page_kind_counts", {})
             self._kind_counts = {
-                kind: int(counts.get(kind.value, 0)) for kind in PageKind
+                kind: catalog.page_kind_counts.get(kind.value, 0) for kind in PageKind
             }
             self._checksum = header["checksum"]
         except Exception:
@@ -718,6 +874,20 @@ class FileDisk:
         self._stats = DiskStatistics()
         self._stats_lock = threading.Lock()
         self._closed = False
+
+    def _check_geometry(self, catalog: DatasetCatalog, header: dict) -> None:
+        """Reject a catalog whose cost vectors or sections do not fit the file."""
+        if catalog.num_cost_types * _F64.size > header["file_size"]:
+            raise PackFormatError(
+                f"{self._path}: {catalog.num_cost_types} cost types cannot fit the pack"
+            )
+        low = HEADER_SIZE + self._num_pages * self._slot_size
+        for name, (offset, length) in catalog.sections.items():
+            if offset < low or offset + length > header["catalog_offset"]:
+                raise PackFormatError(
+                    f"{self._path}: section {name!r} [{offset}, +{length}) lies "
+                    f"outside the section region [{low}, {header['catalog_offset']})"
+                )
 
     # -- SimulatedDisk interface ---------------------------------------- #
     @property
@@ -771,17 +941,16 @@ class FileDisk:
         return self._checksum
 
     @property
-    def catalog_payload(self) -> dict:
-        """The decoded trailing JSON catalog."""
-        return self._catalog_payload
+    def catalog(self) -> DatasetCatalog:
+        """The validated trailing catalog."""
+        return self._catalog
 
     def section_bounds(self, name: str) -> tuple[int, int]:
         """``(offset, length)`` of a named binary section."""
         try:
-            offset, length = self._catalog_payload["sections"][name]
-        except (KeyError, TypeError, ValueError):
+            return self._catalog.sections[name]
+        except KeyError:
             raise PackFormatError(f"{self._path}: pack has no section {name!r}") from None
-        return int(offset), int(length)
 
     @property
     def buffer(self):

@@ -9,15 +9,17 @@ import pytest
 from repro.api import (
     COMPILED_ENV_VAR,
     DEFAULT_POLICY,
+    EXECUTORS,
+    ROUTINGS,
     ExecutionPolicy,
     compiled_env_default,
     policy_from_payload,
     policy_to_payload,
     resolve_compiled,
 )
-from repro.core.engine import compiled_default_enabled
 from repro.errors import PolicyError, QueryError
-from repro.parallel import EXECUTORS, ROUTINGS, ParallelExecution
+from repro.parallel import EXECUTORS as parallel_executors
+from repro.parallel import ROUTINGS as parallel_routings
 
 
 class TestDefaults:
@@ -95,19 +97,11 @@ class TestValidation:
     def test_vocabulary_shared_with_parallel_package(self):
         # The policy module is the canonical source of the routing/executor
         # vocabulary; repro.parallel re-exports the same tuples.
+        assert (parallel_routings, parallel_executors) == (ROUTINGS, EXECUTORS)
         for routing in ROUTINGS:
             for executor in EXECUTORS:
                 policy = ExecutionPolicy(workers=2, routing=routing, executor=executor)
-                spec = policy.parallel
-                assert isinstance(spec, ParallelExecution)
-                assert (spec.workers, spec.routing, spec.executor) == (
-                    2,
-                    routing,
-                    executor,
-                )
-
-    def test_parallel_is_none_for_sequential_policies(self):
-        assert ExecutionPolicy().parallel is None
+                assert (policy.routing, policy.executor) == (routing, executor)
 
     def test_buffer_fraction_canonicalised_to_float(self):
         policy = ExecutionPolicy(buffer_fraction=1)
@@ -134,14 +128,6 @@ class TestCompiledEnvHandling:
         assert resolve_compiled("off") is False
         monkeypatch.setenv(COMPILED_ENV_VAR, "0")
         assert resolve_compiled("on") is True
-
-    def test_engine_alias_routes_through_the_policy_module(self, monkeypatch):
-        # core.engine's compiled_default_enabled is a thin alias of the
-        # single source of truth in repro.api.policy.
-        monkeypatch.setenv(COMPILED_ENV_VAR, "1")
-        assert compiled_default_enabled() is True
-        monkeypatch.delenv(COMPILED_ENV_VAR)
-        assert compiled_default_enabled() is False
 
     def test_resolve_compiled_rejects_unknown_mode(self):
         with pytest.raises(PolicyError):

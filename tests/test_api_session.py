@@ -1,14 +1,13 @@
-"""Session facade: equivalence with the direct stacks, caching, shims."""
+"""Session facade: equivalence with the direct stacks, caching, policy constructors."""
 
 from __future__ import annotations
 
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MCNQueryEngine, ParallelExecution
+from repro import MCNQueryEngine
 from repro.api import (
     COMPILED_ENV_VAR,
     BatchResponse,
@@ -383,48 +382,15 @@ class TestSessionMonitor:
         assert handle.subscription_ids == (second,)
 
 
-class TestDeprecationShims:
+class TestPolicyConstructors:
+    """The lower-level stacks are configured through ``policy=`` only."""
+
     def _engine(self):
         return MCNQueryEngine(_WORKLOAD.graph, _WORKLOAD.facilities)
 
-    def test_query_service_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            service = QueryService(self._engine(), memoize_results=False)
+    def test_query_service_policy_path(self):
+        service = QueryService(self._engine(), policy=ExecutionPolicy(memoize_results=False))
         assert service.memoize_results is False
-        assert service.policy.memoize_results is False
-
-    def test_query_service_policy_path_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            service = QueryService(
-                self._engine(), policy=ExecutionPolicy(memoize_results=False)
-            )
-        assert service.memoize_results is False
-
-    def test_query_service_policy_and_legacy_conflict(self):
-        with pytest.raises(PolicyError):
-            QueryService(
-                self._engine(),
-                memoize_results=False,
-                policy=ExecutionPolicy(),
-            )
-
-    def test_run_batch_parallel_kwarg_warns(self):
-        service = QueryService(self._engine())
-        with pytest.warns(DeprecationWarning, match="run_batch"):
-            report = service.run_batch(
-                _requests()[:2], parallel=ParallelExecution(workers=2, executor="serial")
-            )
-        assert len(report.outcomes) == 2
-
-    def test_run_batch_parallel_and_policy_conflict(self):
-        service = QueryService(self._engine())
-        with pytest.raises(PolicyError):
-            service.run_batch(
-                _requests()[:2],
-                parallel=ParallelExecution(workers=2, executor="serial"),
-                policy=ExecutionPolicy(workers=2, executor="serial"),
-            )
 
     def test_run_batch_rejects_sequential_caching_override(self):
         # A workers=1 override runs through THIS service's cache, so a
@@ -440,73 +406,38 @@ class TestDeprecationShims:
 
     def test_run_batch_policy_override_shards(self):
         service = QueryService(self._engine())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            report = service.run_batch(
-                _requests(), policy=ExecutionPolicy(workers=2, executor="serial")
-            )
+        report = service.run_batch(
+            _requests(), policy=ExecutionPolicy(workers=2, executor="serial")
+        )
         assert [shard.size for shard in report.shards] == [3, 3]
 
-    def test_sharded_legacy_kwargs_warn_and_work(self):
-        with pytest.warns(DeprecationWarning, match="ShardedQueryService"):
-            sharded = ShardedQueryService(self._engine(), workers=3, executor="serial")
+    def test_sharded_policy_path(self):
+        sharded = ShardedQueryService(
+            self._engine(), policy=ExecutionPolicy(workers=3, executor="serial")
+        )
         assert (sharded.workers, sharded.executor) == (3, "serial")
 
-    def test_sharded_policy_path_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sharded = ShardedQueryService(
-                self._engine(), policy=ExecutionPolicy(workers=3, executor="serial")
-            )
-        assert sharded.policy.workers == 3
-
-    def test_sharded_legacy_defaults_preserved(self):
-        with pytest.warns(DeprecationWarning):
-            sharded = ShardedQueryService(self._engine(), routing="locality")
-        # The pre-policy constructor defaulted to two process workers.
-        assert (sharded.workers, sharded.routing, sharded.executor) == (
-            2,
-            "locality",
-            "process",
-        )
-
-    def test_monitoring_legacy_kwargs_warn_and_work(self):
+    def test_monitoring_policy_path(self):
         facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
-        with pytest.warns(DeprecationWarning, match="MonitoringService"):
-            service = MonitoringService(
-                _WORKLOAD.graph,
-                facilities,
-                parallel=ParallelExecution(workers=2, executor="serial"),
-                shard_fallback_threshold=2,
-                compiled=False,
-            )
-        assert service.policy.workers == 2
-        assert service.policy.shard_fallback_threshold == 2
+        service = MonitoringService(
+            _WORKLOAD.graph, facilities, policy=ExecutionPolicy(compiled="off")
+        )
         assert service.policy.compiled == "off"
 
-    def test_monitoring_policy_path_is_silent(self):
-        facilities = FacilitySet(_WORKLOAD.graph, iter(_WORKLOAD.facilities))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            service = MonitoringService(
-                _WORKLOAD.graph, facilities, policy=ExecutionPolicy(compiled="off")
-            )
-        assert service.policy.compiled == "off"
-
-    def test_legacy_and_policy_equivalent_behaviour(self):
-        requests = _requests()
-        with pytest.warns(DeprecationWarning):
-            legacy = QueryService(self._engine(), memoize_results=False, harvest_settled=False)
-        modern = QueryService(
-            self._engine(),
-            policy=ExecutionPolicy(memoize_results=False, harvest_settled=False),
-        )
-        legacy_report = legacy.run_batch(requests)
-        modern_report = modern.run_batch(requests)
-        assert [_signature(o) for o in legacy_report.outcomes] == [
-            _signature(o) for o in modern_report.outcomes
-        ]
-        assert legacy_report.io == modern_report.io
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda engine: QueryService(engine, policy={"memoize_results": False}),
+            lambda engine: ShardedQueryService(engine, policy=None),
+            lambda engine: MonitoringService(
+                engine.graph, FacilitySet(engine.graph), policy="serial"
+            ),
+        ],
+        ids=["query", "sharded", "monitoring"],
+    )
+    def test_non_policy_argument_is_a_typed_error(self, build):
+        with pytest.raises(PolicyError, match="expected an ExecutionPolicy"):
+            build(self._engine())
 
 
 class TestSessionLifecycle:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.core.engine import MCNQueryEngine
 from repro.core.vector import NUMPY_AVAILABLE
 from repro.datagen import make_workload, workload_spec_from_payload
@@ -103,7 +104,7 @@ class TestGoldenReplay:
         engine = build_engine(fixture)
         requests = decode_requests(fixture["requests"])
         report = ShardedQueryService(
-            engine, workers=2, routing="locality", executor="serial"
+            engine, policy=ExecutionPolicy(workers=2, routing="locality", executor="serial")
         ).run_batch(requests)
         for outcome, expected_result in zip(report.outcomes, fixture["expected"]["results"]):
             assert_results_match(

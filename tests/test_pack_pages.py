@@ -11,6 +11,11 @@
 * **page-slot fuzz** — after random byte damage in the page region, every
   page read and accessor call returns a value or raises a typed
   :class:`ReproError`;
+* **catalog and header fuzz** — after damage to the JSON catalog or the
+  header geometry, with the checksum recomputed so the damage passes
+  verification, opening and querying the pack returns a value or raises a
+  typed :class:`ReproError`, and ``inspect-dataset`` exits 0 or 2
+  accordingly;
 * **concurrent readers** — threads sharing one pack through snapshot views
   read what a single reader reads.
 """
@@ -18,6 +23,8 @@
 from __future__ import annotations
 
 import contextlib
+import io
+import json
 import signal
 import struct
 import sys
@@ -26,13 +33,21 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cli import main as cli_main
 from repro.datagen import WorkloadSpec, make_workload
 from repro.errors import PackFormatError, ReproError, StorageError
 from repro.storage import NetworkStorage, open_dataset, pack_network_storage
 from repro.storage.btree import _LeafRecord
 from repro.storage.pages import PageKind
-from repro.storage.persist import HEADER_SIZE
-from tests.strategies import apply_mutations, id_list_length_offsets, page_slot_mutations
+from repro.storage.persist import HEADER_SIZE, read_pack_header
+from tests.strategies import (
+    apply_mutations,
+    catalog_edits,
+    header_edits,
+    id_list_length_offsets,
+    page_slot_mutations,
+    rebuild_pack,
+)
 
 SPEC = WorkloadSpec(
     num_nodes=140, num_facilities=40, num_cost_types=2, num_queries=1, seed=33
@@ -208,12 +223,12 @@ def fuzz_target(pack_path, workload, tmp_path_factory):
     }
 
 
-def _typed(call) -> None:
-    """Run ``call``; a typed library error is an acceptable outcome."""
+def _typed(call):
+    """Run ``call``; a typed library error is an acceptable outcome (``None``)."""
     try:
-        call()
+        return call()
     except ReproError:
-        pass
+        return None
 
 
 def _touch_page(page) -> None:
@@ -279,6 +294,98 @@ class TestPageSlotFuzz:
                 _typed(lambda: storage.edge_facilities(edge))
             for facility in target["facilities"]:
                 _typed(lambda: storage.facility_edge(facility))
+
+
+@pytest.fixture(scope="module")
+def metadata_target(workload, pack_path, tmp_path_factory):
+    data = pack_path.read_bytes()
+    header = read_pack_header(str(pack_path))
+    start = header["catalog_offset"]
+    return {
+        "data": data,
+        "header": header,
+        "catalog": json.loads(data[start : start + header["catalog_length"]]),
+        "path": tmp_path_factory.mktemp("metadata") / "damaged.mcnpack",
+        "nodes": sorted(workload.graph.node_ids())[::10],
+        "edges": sorted(edge.edge_id for edge in workload.graph.edges())[::10],
+        "facilities": sorted(facility.facility_id for facility in workload.facilities)[::5],
+    }
+
+
+def _inspect_exit_code(path) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_main(["inspect-dataset", str(path)])
+
+
+def _open_and_query(target) -> bool:
+    """Open the damaged pack and query it; whether the open succeeded."""
+    try:
+        dataset = open_dataset(str(target["path"]))
+    except ReproError:
+        return False
+    with dataset, watchdog(20):
+        dataset.catalog.describe()
+        storage = _typed(lambda: dataset.storage(buffer_fraction=BUFFER_FRACTION))
+        if storage is None:
+            return True
+        view = storage.graph
+        repr(view)
+        for node in target["nodes"]:
+            _typed(lambda: view.has_node(node))
+            _typed(lambda: storage.adjacency(node))
+        for edge in target["edges"]:
+            _typed(lambda: view.edge(edge))
+            _typed(lambda: storage.edge_facilities(edge))
+        for facility in target["facilities"]:
+            _typed(lambda: storage.facility_edge(facility))
+    return True
+
+
+class TestCatalogAndHeaderFuzz:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_cost_types", "x"),
+            ("num_cost_types", -1),
+            ("num_cost_types", 0),
+            ("page_kind_counts", [1, 2]),
+            ("adjacency_tree", [0, 1]),
+            ("sections", {"node_ids": "x"}),
+        ],
+    )
+    def test_malformed_catalog_field_fails_typed(self, metadata_target, tmp_path, field, value):
+        target = metadata_target
+        catalog = dict(target["catalog"], **{field: value})
+        path = tmp_path / "malformed.mcnpack"
+        path.write_bytes(
+            rebuild_pack(target["data"], target["header"], json.dumps(catalog).encode(), {})
+        )
+        with pytest.raises(PackFormatError, match=field):
+            open_dataset(str(path))
+        assert _inspect_exit_code(path) == 2
+
+    def test_intact_rebuild_opens(self, metadata_target, tmp_path):
+        target = metadata_target
+        catalog = json.dumps(target["catalog"]).encode()
+        path = tmp_path / "intact.mcnpack"
+        path.write_bytes(rebuild_pack(target["data"], target["header"], catalog, {}))
+        assert _inspect_exit_code(path) == 0
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_damaged_metadata_fails_typed_or_answers(self, metadata_target, data):
+        target = metadata_target
+        intact = json.dumps(target["catalog"]).encode()
+        edits = catalog_edits(target["catalog"], limit=target["header"]["catalog_offset"])
+        catalog = data.draw(st.just(intact) | edits)
+        fields = data.draw(header_edits(target["header"]))
+        target["path"].write_bytes(rebuild_pack(target["data"], target["header"], catalog, fields))
+        opened = _open_and_query(target)
+        assert _inspect_exit_code(target["path"]) == (0 if opened else 2)
 
 
 class TestConcurrentReaders:

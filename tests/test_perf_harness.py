@@ -143,13 +143,15 @@ class TestPerfComparison:
         output = tmp_path / "BENCH_now.json"
         baseline_path = tmp_path / "BENCH_base.json"
         assert main(["bench", "perf", "--smoke", "--output", str(output)]) == 0
-        # A self-comparison (identical payload modulo timing jitter) must
-        # pass: speedups get a 10% band and CI reuses the same scale.
+        # A comparison against a relaxed copy of an earlier run must pass.
+        # Smoke medians are sub-millisecond: back-to-back runs on a loaded
+        # host moved a case's speedup to 0.3x and its fast median to 2.4x
+        # of the earlier run's, so the relaxation leaves a wide margin
+        # (speedup floor 0.09x, median ceiling 11x at the 10% tolerance).
         payload = json.loads(output.read_text())
-        baseline_path.write_text(json.dumps(payload))
         relaxed = copy.deepcopy(payload)
         for case in relaxed["cases"]:
-            case["speedup_median"] = round(case["speedup_median"] * 0.5, 3)
+            case["speedup_median"] = round(case["speedup_median"] * 0.1, 3)
             case["fast"]["median_ms"] = round(case["fast"]["median_ms"] * 10, 4)
         baseline_path.write_text(json.dumps(relaxed))
         exit_code = main(
@@ -157,11 +159,15 @@ class TestPerfComparison:
         )
         assert exit_code == 0
         assert "no regressions" in capsys.readouterr().out
-        # Doctor the baseline to claim far better numbers than reality —
-        # the compare mode must now fail the run.
+        # Doctor the baseline to claim far better speedups than reality —
+        # the compare mode must now fail the run (it fails unless a speedup
+        # grows 18x).  The fast medians are relaxed as above, so the
+        # --tolerance 0.999 pass below is not at the mercy of latency jitter
+        # (its ceiling becomes ~20x, its speedup floor 0.02x).
         doctored = copy.deepcopy(payload)
         for case in doctored["cases"]:
-            case["speedup_median"] = round(case["speedup_median"] * 100, 3)
+            case["speedup_median"] = round(case["speedup_median"] * 20, 3)
+            case["fast"]["median_ms"] = round(case["fast"]["median_ms"] * 10, 4)
         baseline_path.write_text(json.dumps(doctored))
         exit_code = main(
             ["bench", "perf", "--smoke", "--output", "-", "--against", str(baseline_path)]

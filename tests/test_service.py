@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.core.engine import MCNQueryEngine
 from repro.datagen.workload import WorkloadSpec, make_workload
 from repro.errors import QueryError
@@ -212,7 +213,7 @@ class TestQueryService:
         assert second.result is first.result
 
     def test_memoisation_can_be_disabled(self, disk_engine, workload):
-        service = QueryService(disk_engine, memoize_results=False)
+        service = QueryService(disk_engine, policy=ExecutionPolicy(memoize_results=False))
         request = SkylineRequest(workload.queries[0])
         service.execute(request)
         second = service.execute(request)
@@ -250,7 +251,7 @@ class TestQueryService:
         assert service.pending_count == 0
 
     def test_harvesting_can_be_disabled(self, disk_engine, workload):
-        service = QueryService(disk_engine, harvest_settled=False)
+        service = QueryService(disk_engine, policy=ExecutionPolicy(harvest_settled=False))
         query = workload.queries[0]
         service.execute(SkylineRequest(query))
         seeds = service.cache.seeds_for(workload.graph, query)
@@ -271,10 +272,12 @@ class TestQueryService:
     def test_cache_and_bound_mutually_exclusive(self, disk_engine):
         cache = CrossQueryExpansionCache(disk_engine.accessor)
         with pytest.raises(QueryError):
-            QueryService(disk_engine, cache=cache, max_cached_entries=8)
+            QueryService(
+                disk_engine, cache=cache, policy=ExecutionPolicy(max_cached_entries=8)
+            )
 
     def test_batch_report_cache_counters_are_per_batch(self, disk_engine, workload):
-        service = QueryService(disk_engine, memoize_results=False)
+        service = QueryService(disk_engine, policy=ExecutionPolicy(memoize_results=False))
         requests = mixed_requests(workload)[:4]
         first = service.run_batch(requests)
         second = service.run_batch(requests)
@@ -287,7 +290,10 @@ class TestQueryService:
     def test_bounded_cache_still_correct(self, disk_engine, workload):
         requests = mixed_requests(workload)
         expected = [engine_answer(disk_engine, request) for request in requests]
-        service = QueryService(disk_engine, max_cached_entries=16, memoize_results=False)
+        service = QueryService(
+            disk_engine,
+            policy=ExecutionPolicy(max_cached_entries=16, memoize_results=False),
+        )
         report = service.run_batch(requests)
         assert [outcome_signature(outcome) for outcome in report] == expected
 
